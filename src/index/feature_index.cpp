@@ -40,6 +40,13 @@ std::size_t resolve_threads(int configured) {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
+/// The lazy rescore pool for a rescore_threads setting; null when serial.
+std::shared_ptr<util::LazyThreadPool> make_rescore_pool(int configured) {
+  const std::size_t threads = resolve_threads(configured);
+  if (threads <= 1) return nullptr;
+  return std::make_shared<util::LazyThreadPool>(threads);
+}
+
 /// Runs score(begin, end) over [0, n): through the pool when one is given,
 /// inline otherwise.  The chunk partition is the pool's static split, so
 /// per-slot outputs are identical either way.
@@ -64,15 +71,14 @@ std::size_t candidate_budget(const FeatureIndexParams& params,
 }
 
 FeatureIndex::FeatureIndex(const FeatureIndexParams& params)
-    : params_(params), lsh_(params.lsh) {
+    : params_(params),
+      lsh_(params.lsh),
+      pool_(make_rescore_pool(params.rescore_threads)) {
   if (params_.ann.enabled) ann_.emplace(params_.ann);
 }
 
 util::ThreadPool* FeatureIndex::rescore_pool() const {
-  const std::size_t threads = resolve_threads(params_.rescore_threads);
-  if (threads <= 1) return nullptr;
-  if (!pool_) pool_ = std::make_shared<util::ThreadPool>(threads);
-  return pool_.get();
+  return pool_ ? &pool_->get() : nullptr;
 }
 
 ImageId FeatureIndex::insert_entry(feat::BinaryFeatures features,
@@ -275,13 +281,11 @@ QueryResult FeatureIndex::query_exact(
   return rescore(query_features, all, top_k);
 }
 
-FloatFeatureIndex::FloatFeatureIndex(const Params& params) : params_(params) {}
+FloatFeatureIndex::FloatFeatureIndex(const Params& params)
+    : params_(params), pool_(make_rescore_pool(params.rescore_threads)) {}
 
 util::ThreadPool* FloatFeatureIndex::rescore_pool() const {
-  const std::size_t threads = resolve_threads(params_.rescore_threads);
-  if (threads <= 1) return nullptr;
-  if (!pool_) pool_ = std::make_shared<util::ThreadPool>(threads);
-  return pool_.get();
+  return pool_ ? &pool_->get() : nullptr;
 }
 
 std::vector<float> FloatFeatureIndex::centroid_of(

@@ -19,6 +19,7 @@
 #include "index/types.hpp"
 
 namespace bees::util {
+class LazyThreadPool;
 class ThreadPool;
 }  // namespace bees::util
 
@@ -155,9 +156,11 @@ class FeatureIndex {
   std::size_t descriptor_count_ = 0;
   std::vector<Entry> images_;
   std::size_t wire_bytes_ = 0;
-  /// Lazily-created rescore pool (shared_ptr keeps the index copyable;
-  /// copies share the pool, which holds no query state).
-  mutable std::shared_ptr<util::ThreadPool> pool_;
+  /// Rescore pool, started on the first parallel rescore; null when
+  /// rescore_threads resolves to 1.  Race-free under concurrent const
+  /// queries.  Copies share it (shared_ptr keeps the index copyable; the
+  /// pool holds no query state).
+  std::shared_ptr<util::LazyThreadPool> pool_;
 };
 
 /// Index over float (SIFT / PCA-SIFT) feature sets, used by the SmartEye
@@ -214,7 +217,7 @@ class FloatFeatureIndex {
   Params params_;
   std::vector<Entry> images_;
   std::size_t wire_bytes_ = 0;
-  mutable std::shared_ptr<util::ThreadPool> pool_;
+  std::shared_ptr<util::LazyThreadPool> pool_;  ///< As FeatureIndex::pool_.
 };
 
 }  // namespace bees::idx

@@ -56,6 +56,10 @@ Cluster::Cluster(const ClusterOptions& options) : options_(options) {
     shard_options.wal_reset_on_checkpoint = options_.wal_reset_on_checkpoint;
     shard_options.binary_params = options_.binary_params;
     shard_options.float_params = options_.float_params;
+    // Shards rescore on the calling worker: the request pool is the
+    // cluster's only parallelism (see ClusterOptions::threads).
+    shard_options.binary_params.rescore_threads = 1;
+    shard_options.float_params.rescore_threads = 1;
     backends_.push_back(factory(i, shard_options));
   }
   next_binary_local_.assign(static_cast<std::size_t>(n), 0);
@@ -155,8 +159,12 @@ void Cluster::drain_batch_queue() {
   std::vector<BatchJob> jobs;
   {
     std::lock_guard<std::mutex> lock(batch_mutex_);
-    const std::size_t take =
-        std::min(options_.batch_window, batch_queue_.size());
+    // Each drain takes its share of the queue, ceil(queued / threads), not
+    // a whole window: lock-step clients arriving together then run on all
+    // workers instead of serially on one.  Non-zero whenever the queue is.
+    const std::size_t threads = pool_->thread_count();
+    const std::size_t share = (batch_queue_.size() + threads - 1) / threads;
+    const std::size_t take = std::min(options_.batch_window, share);
     jobs.reserve(take);
     for (std::size_t i = 0; i < take; ++i) {
       jobs.push_back(std::move(batch_queue_.front()));

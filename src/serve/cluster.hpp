@@ -48,7 +48,10 @@ inline constexpr const char* kShedErrorMessage =
 
 struct ClusterOptions {
   int shards = 1;
-  /// Worker threads draining the request queue (minimum 1).
+  /// Worker threads draining the request queue (minimum 1).  This is the
+  /// cluster's only source of query parallelism: shards rescore on the
+  /// calling worker (the cluster forces binary_params/float_params
+  /// rescore_threads to 1 for its shards), so 1 thread is a serial server.
   int threads = 1;
   /// Admission bound: requests in flight (queued + executing) before new
   /// arrivals are shed with an encoded error reply.
@@ -57,8 +60,11 @@ struct ClusterOptions {
   /// queued and a worker drains up to this many at once through
   /// handle_coalesced, so queued similarity queries share one batched
   /// fan-out (each shard packs a candidate's descriptors once per batch
-  /// instead of once per query).  Replies are byte-identical to
-  /// batch_window = 1 for every request; only latency/throughput shifts.
+  /// instead of once per query).  Each drain takes its share of the
+  /// queue, min(batch_window, ceil(queued / threads)), so a burst spreads
+  /// over every worker before it piles into one batch.  Replies are
+  /// byte-identical to batch_window = 1 for every request; only
+  /// latency/throughput shifts.
   /// Batch sizes actually formed are observable as the `serve.batch.size`
   /// histogram.
   std::size_t batch_window = 1;
@@ -231,9 +237,9 @@ class Cluster {
   /// route_request with the worker-task exception fences (never throws).
   std::vector<std::uint8_t> route_request_noexcept(
       const std::vector<std::uint8_t>& request);
-  /// Drains up to batch_window queued gate jobs through handle_coalesced
-  /// and fulfills their promises; no-op when another drain emptied the
-  /// queue first.  Runs on the worker pool.
+  /// Drains min(batch_window, ceil(queued / threads)) queued gate jobs
+  /// through handle_coalesced and fulfills their promises; no-op when
+  /// another drain emptied the queue first.  Runs on the worker pool.
   void drain_batch_queue();
   /// Routes, WAL-logs and applies one mutation (caller holds
   /// mutation_mutex_).  For indexed ops the routing-table entry is published

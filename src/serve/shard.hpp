@@ -1,5 +1,8 @@
-// One shard of the serving cluster: a cloud::Server behind its own mutex,
-// made durable by a write-ahead log plus periodic snapshot checkpoints.
+// One shard of the serving cluster: a cloud::Server behind its own
+// reader/writer lock, made durable by a write-ahead log plus periodic
+// snapshot checkpoints.  Every const read takes the lock shared, so queries
+// against one hot shard (a disaster cell) run concurrently; mutations,
+// checkpoints and snapshot encoding take it exclusively.
 // The shard speaks in *global* image ids (assigned by the cluster frontend)
 // and keeps the local<->global mapping itself; within a shard, local
 // insertion order follows global id order, which is what lets per-shard
@@ -8,7 +11,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -148,7 +151,9 @@ class Shard {
 
   const int id_;
   ShardOptions options_;
-  mutable std::mutex mutex_;
+  /// Shared by the const read methods, exclusive for apply/checkpoint/
+  /// snapshot encoding.
+  mutable std::shared_mutex mutex_;
   cloud::Server server_;
   std::vector<std::uint32_t> binary_globals_;  // local id -> global id
   std::vector<std::uint32_t> float_globals_;

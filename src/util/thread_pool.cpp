@@ -42,6 +42,20 @@ void ThreadPool::wait_idle() {
   }
 }
 
+void ThreadPool::ChunkLatch::count_down(std::exception_ptr error) {
+  // Notify under the lock: once wait() can observe remaining_ == 0 the
+  // latch may be destroyed, so nothing here may touch it after unlocking.
+  std::scoped_lock lock(mutex_);
+  if (error && !first_error_) first_error_ = std::move(error);
+  if (--remaining_ == 0) done_.notify_all();
+}
+
+void ThreadPool::ChunkLatch::wait() {
+  std::unique_lock lock(mutex_);
+  done_.wait(lock, [this] { return remaining_ == 0; });
+  if (first_error_) std::rethrow_exception(first_error_);
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -64,6 +78,12 @@ void ThreadPool::worker_loop() {
       if (--in_flight_ == 0) all_done_.notify_all();
     }
   }
+}
+
+ThreadPool& LazyThreadPool::get() {
+  std::call_once(once_,
+                 [this] { pool_ = std::make_unique<ThreadPool>(threads_); });
+  return *pool_;
 }
 
 }  // namespace bees::util

@@ -2,9 +2,13 @@
 // queries return identical QueryResults (hits, ops, candidates_checked) for
 // every rescore pool size, because the candidate partition is static and
 // per-candidate slots are merged in candidate order.  Also covers the
-// deterministic tie-break (equal similarities rank by ascending ImageId)
-// and the rescore-stage timer metric.
+// deterministic tie-break (equal similarities rank by ascending ImageId),
+// concurrent queries sharing one index's pool, and the rescore-stage timer
+// metric.
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
 
 #include "index/feature_index.hpp"
 #include "obs/metrics.hpp"
@@ -186,6 +190,46 @@ TEST(ParallelRescore, RescoreBatchMatchesSerialRescore) {
           index.rescore(queries[q], candidates[q], top_k[q]);
       expect_same_result(batched[q], serial);
     }
+  }
+}
+
+TEST(ParallelRescore, ConcurrentQueriesShareOneLazyPool) {
+  // Const queries from several threads on one index: the first ones race
+  // to start the lazy rescore pool, and every query's parallel rescore
+  // waits only for its own chunks.  Each thread must get the serial
+  // result; under ThreadSanitizer this also checks the pool start-up.
+  util::Rng rng(77);
+  std::vector<feat::Descriptor256> base;
+  for (int i = 0; i < 40; ++i) base.push_back(random_descriptor(rng));
+  FeatureIndexParams serial_params;
+  serial_params.rescore_threads = 1;
+  FeatureIndexParams pooled_params;
+  pooled_params.rescore_threads = 3;
+  FeatureIndex serial(serial_params);
+  FeatureIndex pooled(pooled_params);
+  for (int i = 0; i < 16; ++i) {
+    const feat::BinaryFeatures f = features_near(base, 40, 8 + i, rng);
+    serial.insert(f);
+    pooled.insert(f);
+  }
+  constexpr int kThreads = 4;
+  std::vector<feat::BinaryFeatures> queries;
+  for (int t = 0; t < kThreads; ++t) {
+    queries.push_back(features_near(base, 40, 4 + t, rng));
+  }
+  std::vector<QueryResult> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      got[static_cast<std::size_t>(t)] =
+          pooled.query_exact(queries[static_cast<std::size_t>(t)]);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE(t);
+    expect_same_result(got[static_cast<std::size_t>(t)],
+                       serial.query_exact(queries[static_cast<std::size_t>(t)]));
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 
@@ -84,6 +86,39 @@ TEST(ThreadPool, ExceptionPropagatesFromWaitIdle) {
   pool.submit([&counter] { counter.fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForRethrowsToItsCaller) {
+  ThreadPool pool(3);
+  EXPECT_THROW(pool.parallel_for(9,
+                                 [](std::size_t i) {
+                                   if (i == 4) throw std::runtime_error("x");
+                                 }),
+               std::runtime_error);
+  // The error went to the caller, not to the pool's wait_idle slot.
+  pool.wait_idle();
+}
+
+TEST(ThreadPool, ParallelForWaitsOnlyForItsOwnChunks) {
+  // Concurrent callers share one pool: a parallel_for must not wait on a
+  // task someone else submitted, which here only finishes afterwards.
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  pool.submit([released] { released.wait(); });
+  auto sum = std::async(std::launch::async, [&pool] {
+    std::atomic<int> total{0};
+    pool.parallel_for(8, [&](std::size_t i) {
+      total.fetch_add(static_cast<int>(i));
+    });
+    return total.load();
+  });
+  const bool finished = sum.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  release.set_value();
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(sum.get(), 28);
+  pool.wait_idle();
 }
 
 TEST(ThreadPool, ManySmallBatchesStress) {
